@@ -66,19 +66,30 @@ BENCHMARK(BM_ClassificationReplication)
     ->Range(64, 16384)
     ->Complexity(benchmark::oNLogN);
 
-void BM_SlfPlacement(benchmark::State& state) {
+// SLF over M at three cluster sizes.  SLF sorts the servers once per round,
+// so it costs O(M log M + R log N): at fixed M its time grows only with
+// log N, where a per-replica scan over all servers would grow with N.
+void BM_SlfPlacement(benchmark::State& state, std::size_t servers) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto popularity = zipf_popularity(m, kTheta);
   const AdamsReplication adams;
-  const auto plan = adams.replicate(popularity, kServers, budget_for(m));
-  const std::size_t capacity = (budget_for(m) + kServers - 1) / kServers;
+  const auto plan = adams.replicate(popularity, servers, budget_for(m));
+  const std::size_t capacity = (budget_for(m) + servers - 1) / servers;
   const SmallestLoadFirstPlacement slf;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(slf.place(plan, popularity, kServers, capacity));
+    benchmark::DoNotOptimize(slf.place(plan, popularity, servers, capacity));
   }
   state.SetComplexityN(static_cast<benchmark::IterationCount>(m));
 }
-BENCHMARK(BM_SlfPlacement)->Range(64, 8192)->Complexity();
+BENCHMARK_CAPTURE(BM_SlfPlacement, servers_16, 16)
+    ->Range(64, 8192)
+    ->Complexity();
+BENCHMARK_CAPTURE(BM_SlfPlacement, servers_256, 256)
+    ->Range(64, 8192)
+    ->Complexity();
+BENCHMARK_CAPTURE(BM_SlfPlacement, servers_1024, 1024)
+    ->Range(64, 8192)
+    ->Complexity();
 
 void BM_RoundRobinPlacement(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));

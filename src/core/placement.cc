@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "src/util/error.h"
 #include "src/workload/popularity.h"
@@ -21,8 +22,16 @@ void check_placement_inputs(const ReplicationPlan& plan,
     require(r >= 1, "placement: every video needs at least one replica");
     require(r <= num_servers, "placement: r_i exceeds server count (Eq. 7)");
   }
-  if (plan.total_replicas() > num_servers * capacity_per_server) {
-    throw InfeasibleError("placement: plan does not fit cluster storage");
+  // Compared as ceil(total / N) > C, so a huge capacity cannot overflow
+  // N * C; when the check fails, N * C < total and the product is safe.
+  const std::size_t total = plan.total_replicas();
+  if ((total + num_servers - 1) / num_servers > capacity_per_server) {
+    throw InfeasibleError(
+        "placement: plan does not fit cluster storage: " +
+        std::to_string(total) + " replicas > N x capacity = " +
+        std::to_string(num_servers) + " x " +
+        std::to_string(capacity_per_server) + " = " +
+        std::to_string(num_servers * capacity_per_server));
   }
 }
 

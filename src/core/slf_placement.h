@@ -9,6 +9,10 @@
 // the head of the next round (the paper's example defers v2^3 to "the server
 // with the second smallest load" — i.e. the next feasible choice).
 //
+// Cost O(M log M + R log N) for R replicas: the servers are sorted once per
+// round, which is exact because the loads of the servers a round has not
+// used yet cannot change during that round (DESIGN.md, SLF entry).
+//
 // Theorem 4.2: the resulting absolute load spread max_j l_j - min_j l_j is
 // bounded by max_i w_i - min_i w_i; Theorem 4.3: this bound is
 // non-increasing in the replication degree.

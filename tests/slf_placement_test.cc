@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 
 #include "src/core/adams_replication.h"
 #include "src/core/bounds.h"
@@ -158,6 +160,33 @@ TEST(SlfPlacement, HandlesFullReplication) {
   // Full replication balances perfectly.
   const auto loads = layout.expected_loads(popularity, 4);
   EXPECT_NEAR(load_spread(loads), 0.0, 1e-12);
+}
+
+TEST(SlfPlacement, StorageInfeasibilityNamesTheShortfall) {
+  ReplicationPlan plan;
+  plan.replicas = {2, 2, 1};
+  const auto popularity = normalized_popularity({0.5, 0.3, 0.2});
+  const SmallestLoadFirstPlacement slf;
+  try {
+    (void)slf.place(plan, popularity, 2, 2);
+    FAIL() << "5 replicas cannot fit on 2 servers of capacity 2";
+  } catch (const InfeasibleError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("5 replicas"), std::string::npos) << what;
+    EXPECT_NE(what.find("2 x 2 = 4"), std::string::npos) << what;
+  }
+}
+
+TEST(SlfPlacement, HugeCapacityDoesNotOverflowTheStorageCheck) {
+  // N * C wraps to 0 here; the storage check must not see 2 > 0.
+  ReplicationPlan plan;
+  plan.replicas = {1, 1};
+  const auto popularity = normalized_popularity({0.6, 0.4});
+  const std::size_t capacity =
+      std::numeric_limits<std::size_t>::max() / 2 + 1;
+  const SmallestLoadFirstPlacement slf;
+  const Layout layout = slf.place(plan, popularity, 2, capacity);
+  EXPECT_NO_THROW(layout.validate(plan, 2, capacity));
 }
 
 TEST(SlfPlacement, DeterministicAcrossCalls) {

@@ -14,8 +14,10 @@
 //   # inspect an existing layout
 //   vodrep_plan --inspect=layout.txt
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -81,16 +83,45 @@ void print_summary(const Layout& layout, const std::vector<double>& popularity,
   table.print(std::cout);
 }
 
-// Fail-fast diagnostic for every --*-out flag: probe that the path is
+std::string cannot_write(const char* what, const std::string& path) {
+  return std::string("cannot write ") + what + " file: " + path;
+}
+
+// Fail-fast diagnostic for every output flag: probe that the path is
 // writable before doing any expensive work, so a typoed directory fails in
 // milliseconds with a clear message instead of after a full simulation.
-// Probes in append mode so an existing file is not truncated by the probe.
+// The probe creates and removes `path`.tmp, the file write_artifact() writes
+// first, so it leaves no file behind and never touches one at `path`.
 void require_writable(const std::string& path, const char* what) {
   if (path.empty()) return;
-  std::ofstream probe(path, std::ios::app);
-  require(probe.good(), [&] {
-    return std::string("cannot write ") + what + " file: " + path;
-  });
+  const std::string tmp = path + ".tmp";
+  const bool ok = std::ofstream(tmp).good();
+  std::remove(tmp.c_str());
+  require(ok, [&] { return cannot_write(what, path); });
+}
+
+// Writes an output file as `path`.tmp and renames it to `path` only after
+// every byte is written and the stream reports no error, so a run that fails
+// before or during the write leaves no empty or truncated file at `path`.
+void write_artifact(const std::string& path, const char* what,
+                    const std::function<void(std::ostream&)>& write) {
+  const std::string tmp = path + ".tmp";
+  bool ok = false;
+  try {
+    std::ofstream out(tmp);
+    if (out.good()) {
+      write(out);
+      out.close();
+      ok = !out.fail();
+    }
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
+  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    require(false, [&] { return cannot_write(what, path); });
+  }
 }
 
 // Enables the obs layer when either export flag is set, and writes the
@@ -119,35 +150,23 @@ class ObsExports {
 
   void write() const {
     if (!metrics_path_.empty()) {
-      std::ofstream out(metrics_path_);
-      require(out.good(),
-              [&] { return "cannot write metrics file: " + metrics_path_; });
-      obs::metrics().write_json(out);
-      out.flush();
-      require(out.good(),
-              [&] { return "cannot write metrics file: " + metrics_path_; });
+      write_artifact(metrics_path_, "metrics", [](std::ostream& out) {
+        obs::metrics().write_json(out);
+      });
       std::cout << "metrics written to " << metrics_path_ << "\n";
     }
     if (!trace_path_.empty()) {
-      std::ofstream out(trace_path_);
-      require(out.good(),
-              [&] { return "cannot write trace file: " + trace_path_; });
-      obs::TraceRecorder::global().write_json(out);
-      out.flush();
-      require(out.good(),
-              [&] { return "cannot write trace file: " + trace_path_; });
+      write_artifact(trace_path_, "trace", [](std::ostream& out) {
+        obs::TraceRecorder::global().write_json(out);
+      });
       std::cout << "trace written to " << trace_path_
                 << " (load in Perfetto / chrome://tracing)\n";
     }
     if (!profile_path_.empty()) {
-      std::ofstream out(profile_path_);
-      require(out.good(),
-              [&] { return "cannot write profile file: " + profile_path_; });
-      obs::RunProfiler::global().to_json().write(out);
-      out << "\n";
-      out.flush();
-      require(out.good(),
-              [&] { return "cannot write profile file: " + profile_path_; });
+      write_artifact(profile_path_, "profile", [](std::ostream& out) {
+        obs::RunProfiler::global().to_json().write(out);
+        out << "\n";
+      });
       std::cout << "profile written to " << profile_path_
                 << " (render with vodrep_report)\n";
     }
@@ -215,12 +234,10 @@ void print_cache_summary(const CliFlags& flags, const SimResult& result) {
 }
 
 void write_report(const obs::JsonValue& report, const std::string& path) {
-  std::ofstream out(path);
-  require(out.good(), [&] { return "cannot write report file: " + path; });
-  report.write(out);
-  out << "\n";
-  out.flush();
-  require(out.good(), [&] { return "cannot write report file: " + path; });
+  write_artifact(path, "report", [&](std::ostream& out) {
+    report.write(out);
+    out << "\n";
+  });
   std::cout << "run report written to " << path
             << " (render with vodrep_report)\n";
 }
@@ -308,6 +325,9 @@ int run(int argc, char** argv) {
   require_writable(flags.get_string("trace-out"), "trace");
   require_writable(flags.get_string("profile-out"), "profile");
   require_writable(flags.get_string("report-out"), "report");
+  if (flags.get_string("output") != "-") {
+    require_writable(flags.get_string("output"), "layout");
+  }
   const auto servers = static_cast<std::size_t>(flags.get_int("servers"));
   const std::string report_path = flags.get_string("report-out");
 
@@ -530,10 +550,9 @@ int run(int argc, char** argv) {
     if (output == "-") {
       save_placement(std::cout, placement);
     } else {
-      std::ofstream out(output);
-      require(static_cast<bool>(out),
-              [&] { return "cannot write layout file: " + output; });
-      save_placement(out, placement);
+      write_artifact(output, "layout", [&](std::ostream& out) {
+        save_placement(out, placement);
+      });
       std::cout << "\nlayout written to " << output << "\n";
     }
   }
