@@ -15,6 +15,7 @@
 // cache_miss_origin_busy reason).  The last stdout line is a JSON record
 // (tools/run_benches.sh wires it into BENCH_cache.json with the
 // cache_events_per_sec rate key).
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -59,6 +60,35 @@ void require_audited(const Layout& layout, std::size_t num_servers,
   });
 }
 
+/// One cache-tier layer measurement: the same trace replayed at one
+/// eviction policy (or with the tier disabled), median of `reps` replays.
+struct LayerRun {
+  double replay_seconds = 0.0;
+  std::uint64_t evictions = 0;
+  std::uint64_t lookups = 0;
+};
+
+LayerRun time_layer_replay(const Layout& layout, const SimConfig& config,
+                           const PrefixCacheOptions& options,
+                           const RequestTrace& trace, std::size_t reps) {
+  std::vector<double> seconds;
+  LayerRun run;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    SimEngine engine(config);
+    PrefixCachePolicy policy(layout, config, options);
+    const auto start = std::chrono::steady_clock::now();
+    const SimResult result = engine.run(policy, trace);
+    const auto stop = std::chrono::steady_clock::now();
+    require_reasons_reconcile(result);
+    seconds.push_back(std::chrono::duration<double>(stop - start).count());
+    run.evictions = result.cache_evictions;
+    run.lookups = result.cache_hits + result.cache_misses;
+  }
+  std::sort(seconds.begin(), seconds.end());
+  run.replay_seconds = seconds[seconds.size() / 2];
+  return run;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -85,7 +115,8 @@ int main(int argc, char** argv) {
     scenario.replication_degree = flags.get_double("degree");
     std::size_t runs = static_cast<std::size_t>(flags.get_int("runs"));
     std::size_t points = static_cast<std::size_t>(flags.get_int("points"));
-    if (flags.get_bool("quick")) {
+    const bool quick = flags.get_bool("quick");
+    if (quick) {
       scenario.num_videos = 100;
       runs = 2;
       points = 3;
@@ -194,6 +225,67 @@ int main(int argc, char** argv) {
                  "locality, so it wins where the working set\nfits the edge "
                  "and loses once misses force full origin streams.\n\n";
 
+    // --- cache-tier layer record: eviction-heavy, at sim_edge_cache's size
+    // (vodbench): M=20k videos on N=256 degree-1 servers, one 90-minute
+    // peak at 1.1x the cluster's stream capacity, and an edge tier holding
+    // ~3.7% of the library's prefixes, so most misses evict.  Each policy
+    // replays the same trace; the capacity-0 replay (tier disabled) prices
+    // everything but the cache, so the gap between the two is the tier's
+    // own cost.
+    PaperScenario layer = scenario;
+    layer.num_videos = quick ? 2000 : 20'000;
+    layer.num_servers = quick ? 32 : 256;
+    layer.replication_degree = 1.0;
+    const std::size_t layer_reps = quick ? 1 : 3;
+    const Layout layer_layout =
+        provision(layer.problem(), *make_replication_policy("uniform"),
+                  *make_placement_policy("slf"), layer.num_videos)
+            .layout;
+    const SimConfig layer_config = layer.sim_config();
+    Rng layer_rng(2002);
+    const RequestTrace layer_trace = generate_trace(
+        layer_rng, layer.trace_spec(1.1 * layer.saturation_rate_per_min()));
+    PrefixCacheOptions layer_options;
+    layer_options.uniform_prefix_fraction = 0.25;
+    layer_options.capacity_bytes = 0.037 *
+                                   static_cast<double>(layer.num_videos) *
+                                   layer_options.uniform_prefix_fraction *
+                                   replica_bytes;
+    layer_options.eviction = CacheEvictionPolicy::kLru;
+    const LayerRun layer_lru = time_layer_replay(
+        layer_layout, layer_config, layer_options, layer_trace, layer_reps);
+    layer_options.eviction = CacheEvictionPolicy::kLfu;
+    const LayerRun layer_lfu = time_layer_replay(
+        layer_layout, layer_config, layer_options, layer_trace, layer_reps);
+    PrefixCacheOptions disabled_options = layer_options;
+    disabled_options.capacity_bytes = 0.0;
+    const LayerRun layer_plain = time_layer_replay(
+        layer_layout, layer_config, disabled_options, layer_trace,
+        layer_reps);
+    const auto per_sec = [](std::uint64_t count, double seconds) {
+      return seconds > 0.0 ? static_cast<double>(count) / seconds : 0.0;
+    };
+    Table layer_table({"policy", "replay_s", "evictions", "evictions_per_sec",
+                       "cache_events_per_sec"});
+    layer_table.set_precision(4);
+    layer_table.add_row({std::string("lru"), layer_lru.replay_seconds,
+                         static_cast<double>(layer_lru.evictions),
+                         per_sec(layer_lru.evictions, layer_lru.replay_seconds),
+                         per_sec(layer_lru.lookups, layer_lru.replay_seconds)});
+    layer_table.add_row({std::string("lfu"), layer_lfu.replay_seconds,
+                         static_cast<double>(layer_lfu.evictions),
+                         per_sec(layer_lfu.evictions, layer_lfu.replay_seconds),
+                         per_sec(layer_lfu.lookups, layer_lfu.replay_seconds)});
+    layer_table.add_row({std::string("capacity 0"), layer_plain.replay_seconds,
+                         0.0, 0.0, 0.0});
+    std::cout << "-- cache-tier layer: M=" << layer.num_videos
+              << ", N=" << layer.num_servers << ", " << layer_trace.size()
+              << " requests, edge holds "
+              << units::to_gigabytes(layer_options.capacity_bytes)
+              << " GB (median of " << layer_reps << " replay(s)) --\n";
+    layer_table.print(std::cout);
+    std::cout << "\n";
+
     using obs::JsonValue;
     JsonValue record = JsonValue::object();
     record.set("name", JsonValue::string("vodrep_prefix_cache"));
@@ -223,6 +315,23 @@ int main(int argc, char** argv) {
     };
     record.set("lru_hit_ratio", JsonValue::number(ratio(lru_hits, lru_misses)));
     record.set("lfu_hit_ratio", JsonValue::number(ratio(lfu_hits, lfu_misses)));
+    record.set("layer_videos", JsonValue::integer_u64(layer.num_videos));
+    record.set("layer_servers", JsonValue::integer_u64(layer.num_servers));
+    record.set("layer_requests", JsonValue::integer_u64(layer_trace.size()));
+    record.set("layer_lru_replay_seconds",
+               JsonValue::number(layer_lru.replay_seconds));
+    record.set("layer_lfu_replay_seconds",
+               JsonValue::number(layer_lfu.replay_seconds));
+    record.set("layer_capacity0_replay_seconds",
+               JsonValue::number(layer_plain.replay_seconds));
+    record.set("layer_lru_evictions", JsonValue::integer_u64(layer_lru.evictions));
+    record.set("layer_lfu_evictions", JsonValue::integer_u64(layer_lfu.evictions));
+    record.set("layer_lru_evictions_per_sec",
+               JsonValue::number(
+                   per_sec(layer_lru.evictions, layer_lru.replay_seconds)));
+    record.set("layer_lfu_evictions_per_sec",
+               JsonValue::number(
+                   per_sec(layer_lfu.evictions, layer_lfu.replay_seconds)));
     record.write(std::cout);
     std::cout << "\n";
   } catch (const std::exception& error) {

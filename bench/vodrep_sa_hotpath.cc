@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/paired_guard.h"
 #include "src/anneal/parallel_tempering.h"
 #include "src/core/incremental_state.h"
 #include "src/core/sa_solver.h"
@@ -283,33 +284,6 @@ struct RunStats {
   std::size_t moves_noop = 0;
 };
 
-/// Best-of-N moves/sec for one annealing pass: repeats `run` (which returns
-/// the AnnealResult of one full deterministic anneal) until the cumulative
-/// wall time exceeds `min_total_sec` or `max_reps` runs, and rates the pass
-/// by its fastest repetition.  Max-of-reps approximates the noise-free
-/// speed, which the <3% overhead guard needs to stay deterministic on
-/// shared CI machines.
-template <typename RunFn>
-double best_moves_per_sec(RunFn&& run, const AnnealOptions& options,
-                          double min_total_sec, std::size_t max_reps) {
-  double best_seconds = 1e300;
-  double total = 0.0;
-  for (std::size_t rep = 0; rep < max_reps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    const auto result = run();
-    const auto stop = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(stop - start).count();
-    // Consume the result so the anneal cannot be optimized away.
-    if (result.temperature_steps == 0) std::abort();
-    best_seconds = std::min(best_seconds, seconds);
-    total += seconds;
-    if (total >= min_total_sec && rep >= 2) break;
-  }
-  const double iterations = static_cast<double>(
-      options.max_temperature_steps * options.moves_per_temperature);
-  return iterations / std::max(best_seconds, 1e-12);
-}
-
 /// Best-of-`reps` headline timing (the run is deterministic in the seed, so
 /// repetitions only shave off scheduler noise).
 template <typename Problem>
@@ -412,49 +386,50 @@ int main(int argc, char** argv) {
               << "in-place path: " << inc_stats.moves_noop << ")\n\n";
 
     // --- obs overhead guard: compiled-in-but-disabled must stay <3% ---
-    // Best-of-k per pass, and up to three whole measurement rounds: the
-    // guard compares two near-identical hot loops, so a single scheduling
-    // hiccup on a shared machine used to trip it (~3.04% vs 3%).  Each
-    // retry keeps the best observation per pass, which only converges
-    // toward the noise-free speeds.
-    const double min_total_sec = quick ? 0.1 : 0.8;
-    const std::size_t max_reps = quick ? 25 : 9;
-    const auto time_pass = [&](auto&& run) {
-      return best_moves_per_sec(run, options.anneal, min_total_sec, max_reps);
+    // The verdict comes from interleaved paired samples of >= 100 ms each
+    // (bench/paired_guard.h): the two near-identical hot loops run well
+    // under a millisecond per anneal in quick mode, too short to rate one
+    // at a time on a shared machine.  Each anneal is deterministic in the
+    // seed, so every call does the same number of moves.
+    const auto anneal_moves = [&](const auto& result) {
+      // Consume the result so the anneal cannot be optimized away.
+      if (result.temperature_steps == 0) std::abort();
+      return options.anneal.max_temperature_steps *
+             options.anneal.moves_per_temperature;
     };
     obs::set_metrics_enabled(false);
     obs::TraceRecorder::global().set_enabled(false);
-    double noobs_mps = 0.0;
-    double obs_off_mps = 0.0;
-    for (int round = 0; round < 3; ++round) {
-      noobs_mps = std::max(noobs_mps, time_pass([&] {
-                             Rng rng(seed);
-                             return anneal_noobs(incremental, rng,
-                                                 options.anneal);
-                           }));
-      obs_off_mps = std::max(obs_off_mps, time_pass([&] {
-                               Rng rng(seed);
-                               return anneal(incremental, rng, options.anneal);
-                             }));
-      if (obs_off_mps >= 0.97 * noobs_mps) break;
-    }
+    const bench::PairedGuardResult obs_guard = bench::paired_overhead_guard(
+        [&] {
+          Rng rng(seed);
+          return anneal_moves(anneal_noobs(incremental, rng, options.anneal));
+        },
+        [&] {
+          Rng rng(seed);
+          return anneal_moves(anneal(incremental, rng, options.anneal));
+        });
+    const double noobs_mps = obs_guard.baseline_rate;
+    const double obs_off_mps = obs_guard.candidate_rate;
     obs::set_metrics_enabled(true);
     obs::TraceRecorder::global().set_enabled(true);
-    const double obs_on_mps = time_pass([&] {
+    const double obs_on_mps = bench::sample_rate([&] {
       Rng rng(seed);
-      return anneal(incremental, rng, options.anneal);
+      return anneal_moves(anneal(incremental, rng, options.anneal));
     });
     obs::set_metrics_enabled(false);
     obs::TraceRecorder::global().set_enabled(false);
     obs::TraceRecorder::global().clear();
 
-    const double off_overhead_pct = 100.0 * (1.0 - obs_off_mps / noobs_mps);
+    const double off_overhead_pct = obs_guard.overhead_pct;
     const double on_overhead_pct = 100.0 * (1.0 - obs_on_mps / noobs_mps);
-    const bool guard_pass = obs_off_mps >= 0.97 * noobs_mps;
-    std::cout << "obs overhead on the in-place path (best-of-reps):\n"
+    const bool guard_pass = obs_guard.pass;
+    std::cout << "obs overhead on the in-place path (median of "
+              << obs_guard.pairs << " paired samples):\n"
               << "  compiled out:           " << noobs_mps << " moves/s\n"
               << "  compiled in, disabled:  " << obs_off_mps << " moves/s  ("
-              << off_overhead_pct << " % overhead)\n"
+              << off_overhead_pct << " % overhead, 95% CI ["
+              << obs_guard.ci_low_pct << ", " << obs_guard.ci_high_pct
+              << "])\n"
               << "  enabled:                " << obs_on_mps << " moves/s  ("
               << on_overhead_pct << " % overhead)\n"
               << "  guard (<3% disabled):   "
@@ -578,6 +553,9 @@ int main(int argc, char** argv) {
               << ",\"obs_on_moves_per_sec\":" << obs_on_mps
               << ",\"obs_off_overhead_pct\":" << off_overhead_pct
               << ",\"obs_on_overhead_pct\":" << on_overhead_pct
+              << ",\"obs_off_overhead_ci_low_pct\":" << obs_guard.ci_low_pct
+              << ",\"obs_off_overhead_ci_high_pct\":" << obs_guard.ci_high_pct
+              << ",\"obs_guard_pairs\":" << obs_guard.pairs
               << ",\"obs_guard_pass\":" << (guard_pass ? "true" : "false")
               << ",\"hardware_threads\":" << hardware_threads
               << ",\"chains_axis\":[";

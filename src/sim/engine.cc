@@ -96,12 +96,20 @@ SimResult SimEngine::run(StoragePolicy& policy, const RequestTrace& trace) {
   // Local copy so the replay loop keeps the pointer in a register.
   obs::Histogram* const dispatch_hist = dispatch_hist_;
   result_.total_requests = trace.size();
-  for (const Request& request : trace.requests) {
-    step_request(policy, request, dispatch_hist);
+  // Replay every request, then close the books at the end of the peak
+  // period; streams outliving it keep their bandwidth (they are not torn
+  // down) but the metrics window ends.
+  if (observed()) {
+    for (const Request& request : trace.requests) {
+      step_request<true>(policy, request, dispatch_hist);
+    }
+    advance_events<true>(policy, trace.horizon);
+  } else {
+    for (const Request& request : trace.requests) {
+      step_request<false>(policy, request, dispatch_hist);
+    }
+    advance_events<false>(policy, trace.horizon);
   }
-  // Close the books at the end of the peak period; streams outliving it keep
-  // their bandwidth (they are not torn down) but the metrics window ends.
-  advance_events(policy, trace.horizon);
   const SimResult out = finalize(trace.horizon);
   if (obs::metrics_enabled()) export_metrics();
   return out;
@@ -123,24 +131,25 @@ void SimEngine::begin_stepping(StoragePolicy& policy) {
 }
 
 void SimEngine::step(StoragePolicy& policy, const Request& request) {
-  step_request(policy, request, dispatch_hist_);
+  step_request<true>(policy, request, dispatch_hist_);
 }
 
 void SimEngine::advance_to(StoragePolicy& policy, double time) {
-  advance_events(policy, time);
+  advance_events<true>(policy, time);
 }
 
 SimResult SimEngine::finish_stepping(StoragePolicy& policy, double horizon) {
-  advance_events(policy, horizon);
+  advance_events<true>(policy, horizon);
   result_.total_requests = requests_dispatched_;
   return finalize(horizon);
 }
 
+template <bool kObserved>
 void SimEngine::step_request(StoragePolicy& policy, const Request& request,
                              obs::Histogram* dispatch_hist) {
-  advance_events(policy, request.arrival_time);
+  advance_events<kObserved>(policy, request.arrival_time);
   PolicyDecision decision;
-  if (dispatch_hist != nullptr) {
+  if (kObserved && dispatch_hist != nullptr) {
     const std::uint64_t start_ns = obs::TraceRecorder::now_ns();
     decision = policy.dispatch(request);
     dispatch_hist->observe(
@@ -164,7 +173,7 @@ void SimEngine::step_request(StoragePolicy& policy, const Request& request,
     if (decision.redirected) ++result_.redirected;
     if (decision.via_backbone) ++result_.proxied;
   }
-  if (event_log_ != nullptr) {
+  if (kObserved && event_log_ != nullptr) {
     obs::RequestRecord record;
     record.arrival_time = request.arrival_time;
     record.video = static_cast<std::uint32_t>(request.video);
@@ -277,6 +286,7 @@ void SimEngine::cancel_departure(EventHeap::Id id) {
   ++departures_cancelled_;
 }
 
+template <bool kObserved>
 void SimEngine::advance_events(StoragePolicy& policy, double now) {
   const auto& failures = config_.failures;
   for (;;) {
@@ -288,20 +298,21 @@ void SimEngine::advance_events(StoragePolicy& policy, double now) {
         (!have_departure ||
          failures[next_failure_].time <= departures_.min_time())) {
       const ServerFailure& failure = failures[next_failure_++];
-      integrate_to(failure.time);
+      integrate_to<kObserved>(failure.time);
       ++failures_applied_;
       result_.disrupted += policy.on_crash(failure.server);
       continue;
     }
     if (!have_departure) break;
     const EventHeap::Event event = departures_.pop_min();
-    integrate_to(event.time);
+    integrate_to<kObserved>(event.time);
     ++departures_fired_;
     policy.on_departure(event.payload);
   }
-  integrate_to(now);
+  integrate_to<kObserved>(now);
 }
 
+template <bool kObserved>
 void SimEngine::integrate_to(double t) {
   const double dt = t - now_;
   if (dt <= 0.0) return;
@@ -311,7 +322,7 @@ void SimEngine::integrate_to(double t) {
   // the timeline test and loses no samples: a zero-dt call leaves now_
   // unchanged, so a due sample simply fires on the next advancing call,
   // reading the state that actually holds over the sampled interval.
-  if (timeline_ != nullptr) sample_timeline_to(t);
+  if (kObserved && timeline_ != nullptr) sample_timeline_to(t);
   const auto n = static_cast<double>(servers_.size());
   const double max = current_max_utilization();
   if (max <= 0.0) {
@@ -337,7 +348,7 @@ void SimEngine::integrate_to(double t) {
   imbalance_cv_.add(cv, dt);
   imbalance_capacity_.add(std::max(0.0, max - mean), dt);
   peak_eq2_ = std::max(peak_eq2_, eq2);
-  if (segment_log_ != nullptr) {
+  if (kObserved && segment_log_ != nullptr) {
     // The (post-flush) accumulators held these values over [now_, t); the
     // sharded merge sweeps these spans chronologically across shards.
     segment_log_->push_back(

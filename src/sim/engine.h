@@ -289,8 +289,18 @@ class SimEngine {
   }
 
  private:
+  /// True when a timeline, event log or segment log is attached or dispatch
+  /// timing is on.  The event loop below is compiled twice: run() takes the
+  /// kObserved = false copy when none is, so the per-event pointer tests —
+  /// and the calls behind them, which keep integrate_to from being a leaf —
+  /// vanish from the plain replay the vodrep_sim_hotpath guard prices.
+  [[nodiscard]] bool observed() const {
+    return timeline_ != nullptr || event_log_ != nullptr ||
+           segment_log_ != nullptr || dispatch_hist_ != nullptr;
+  }
   /// Shared per-request body of run() and step(): advance, dispatch (timed
   /// when `dispatch_hist` is non-null), tally, log.
+  template <bool kObserved>
   void step_request(StoragePolicy& policy, const Request& request,
                     obs::Histogram* dispatch_hist);
   /// The metrics epilogue of run(): finalizes the time-weighted means and
@@ -298,11 +308,13 @@ class SimEngine {
   SimResult finalize(double horizon);
   /// Applies departures and injected failures up to `now` in time order
   /// (failures win ties) and integrates the load signals.
+  template <bool kObserved>
   void advance_events(StoragePolicy& policy, double now);
   /// Folds the run's tallies into the global metrics registry (bit-exact
   /// with the returned SimResult; see tests/obs_integration_test.cc).
   void export_metrics() const;
   /// Accounts for the current utilization state holding over [now_, t).
+  template <bool kObserved>
   void integrate_to(double t);
   /// Emits every timeline sample due in (now_, t]; the signals are
   /// piecewise constant over that span, so boundary samples are exact.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "src/util/check.h"
@@ -49,69 +50,117 @@ PrefixCache::PrefixCache(CacheEvictionPolicy policy, double capacity_bytes,
     require(std::isfinite(bytes) && bytes > 0.0,
             "PrefixCache: entry sizes must be positive and finite");
   }
-  const std::size_t m = entry_bytes_.size();
-  resident_.assign(m, 0);
-  freq_.assign(m, 0);
-  last_touch_.assign(m, 0);
+  // Entry and bucket-sentinel nodes share 32-bit links: M entries plus at
+  // most M non-empty buckets, one being created and the chain sentinel.
+  require(entry_bytes_.size() <=
+              (std::numeric_limits<std::uint32_t>::max() - 2) / 2,
+          "PrefixCache: too many videos for 32-bit list links");
+  num_entries_ = static_cast<std::uint32_t>(entry_bytes_.size());
+  bucket_of_.assign(num_entries_, kChain);
+  next_.assign(num_entries_, 0);
+  prev_.assign(num_entries_, 0);
+  buckets_.emplace_back();  // the chain sentinel: empty chain links itself
+  next_.push_back(head_node(kChain));
+  prev_.push_back(head_node(kChain));
   stats_.capacity_bytes = capacity_bytes_;
 }
 
-bool PrefixCache::lookup(std::size_t video) {
-  VODREP_DCHECK(video < resident_.size(), "PrefixCache: video out of range");
-  ++tick_;
-  if (resident_[video] != 0) {
-    ++freq_[video];
-    last_touch_[video] = tick_;
-    ++stats_.hits;
-    return true;
+std::uint32_t PrefixCache::bucket_after(std::uint32_t before,
+                                        std::uint64_t freq) {
+  const std::uint32_t after = buckets_[before].next;
+  if (after != kChain && buckets_[after].freq == freq) return after;
+  std::uint32_t bucket = 0;
+  if (free_buckets_.empty()) {
+    bucket = static_cast<std::uint32_t>(buckets_.size());
+    buckets_.emplace_back();
+    next_.push_back(0);
+    prev_.push_back(0);
+  } else {
+    bucket = free_buckets_.back();
+    free_buckets_.pop_back();
   }
-  ++stats_.misses;
-  return false;
+  const std::uint32_t head = head_node(bucket);
+  next_[head] = head;
+  prev_[head] = head;
+  buckets_[bucket] = Bucket{freq, before, after};
+  buckets_[before].next = bucket;
+  buckets_[after].prev = bucket;
+  return bucket;
 }
 
-std::size_t PrefixCache::pick_victim() const {
-  std::size_t victim = resident_.size();
-  for (std::size_t i = 0; i < resident_.size(); ++i) {
-    if (resident_[i] == 0) continue;
-    if (victim == resident_.size()) {
-      victim = i;
-      continue;
-    }
-    if (policy_ == CacheEvictionPolicy::kLru) {
-      if (last_touch_[i] < last_touch_[victim]) victim = i;
-    } else {
-      if (freq_[i] < freq_[victim] ||
-          (freq_[i] == freq_[victim] &&
-           last_touch_[i] < last_touch_[victim])) {
-        victim = i;
-      }
-    }
+void PrefixCache::append(std::uint32_t entry, std::uint32_t bucket) {
+  const std::uint32_t head = head_node(bucket);
+  const std::uint32_t tail = prev_[head];
+  next_[tail] = entry;
+  prev_[entry] = tail;
+  next_[entry] = head;
+  prev_[head] = entry;
+  bucket_of_[entry] = bucket;
+}
+
+void PrefixCache::detach(std::uint32_t entry) {
+  next_[prev_[entry]] = next_[entry];
+  prev_[next_[entry]] = prev_[entry];
+}
+
+void PrefixCache::drop_if_empty(std::uint32_t bucket) {
+  const std::uint32_t head = head_node(bucket);
+  if (next_[head] != head) return;
+  const Bucket& dropped = buckets_[bucket];
+  buckets_[dropped.prev].next = dropped.next;
+  buckets_[dropped.next].prev = dropped.prev;
+  free_buckets_.push_back(bucket);
+}
+
+bool PrefixCache::lookup(std::size_t video) {
+  VODREP_DCHECK(video < num_entries_, "PrefixCache: video out of range");
+  const auto entry = static_cast<std::uint32_t>(video);
+  const std::uint32_t from = bucket_of_[entry];
+  if (from == kChain) {
+    ++stats_.misses;
+    return false;
   }
-  return victim;
+  // LRU keeps one bucket and only refreshes recency; LFU also moves the
+  // entry up one frequency.  Either way it becomes its bucket's newest.
+  const std::uint32_t to = policy_ == CacheEvictionPolicy::kLfu
+                               ? bucket_after(from, buckets_[from].freq + 1)
+                               : from;
+  detach(entry);
+  append(entry, to);
+  if (to != from) drop_if_empty(from);
+  ++stats_.hits;
+  return true;
+}
+
+std::size_t PrefixCache::victim() const {
+  const std::uint32_t lowest = buckets_[kChain].next;
+  if (lowest == kChain) return num_entries_;
+  return next_[head_node(lowest)];
 }
 
 void PrefixCache::insert(std::size_t video) {
-  VODREP_DCHECK(video < resident_.size(), "PrefixCache: video out of range");
-  if (resident_[video] != 0) return;
-  const double bytes = entry_bytes_[video];
+  VODREP_DCHECK(video < num_entries_, "PrefixCache: video out of range");
+  const auto entry = static_cast<std::uint32_t>(video);
+  if (bucket_of_[entry] != kChain) return;
+  const double bytes = entry_bytes_[entry];
   if (bytes > capacity_bytes_) return;  // can never fit; skip, no churn
   while (stats_.used_bytes + bytes > capacity_bytes_) {
-    const std::size_t victim = pick_victim();
-    if (victim == resident_.size()) {
+    const std::size_t evicted = victim();
+    if (evicted == num_entries_) {
       // Nothing resident: only eviction rounding residue keeps the fit test
       // failing.  Snap it to the exact empty state so long runs cannot
       // drift the accounting.
       stats_.used_bytes = 0.0;
       break;
     }
-    resident_[victim] = 0;
-    stats_.used_bytes -= entry_bytes_[victim];
+    const std::uint32_t bucket = bucket_of_[evicted];
+    detach(static_cast<std::uint32_t>(evicted));
+    bucket_of_[evicted] = kChain;
+    drop_if_empty(bucket);
+    stats_.used_bytes -= entry_bytes_[evicted];
     ++stats_.evictions;
   }
-  ++tick_;
-  resident_[video] = 1;
-  freq_[video] = 1;
-  last_touch_[video] = tick_;
+  append(entry, bucket_after(kChain, 1));
   stats_.used_bytes += bytes;
   ++stats_.insertions;
 }

@@ -22,10 +22,10 @@
 // the policy reproduces ReplicatedPolicy decision-for-decision, reasons
 // included (asserted by tests/prefix_cache_test.cc).
 //
-// The cache itself (PrefixCache) is deterministic by construction: victim
-// selection is an O(M) scan over flat vectors keyed by a monotone access
-// tick — no pointer- or hash-ordered iteration anywhere (the vodrep_lint
-// determinism rules apply to this file).
+// The cache itself (PrefixCache) is deterministic by construction and every
+// operation is O(1): entries live on intrusive doubly linked lists over flat
+// index vectors — no pointers, no hashing, no pointer- or hash-ordered
+// iteration anywhere (the vodrep_lint determinism rules apply to this file).
 #pragma once
 
 #include <cstddef>
@@ -49,8 +49,16 @@ enum class CacheEvictionPolicy {
 /// Deterministic fixed-capacity prefix cache over videos 0..M-1 with
 /// per-video entry sizes fixed at construction.  lookup() counts hits and
 /// misses and refreshes recency/frequency; insert() admits one entry,
-/// evicting per the policy until it fits.  All state is flat vectors; the
-/// same access sequence always produces the same residency and stats.
+/// evicting per the policy until it fits.  The same access sequence always
+/// produces the same residency and stats.
+///
+/// Resident entries sit in frequency buckets, each a list in touch order
+/// (oldest first), and the non-empty buckets form a chain in ascending
+/// frequency.  A touch moves the entry to the tail of its bucket (LRU, which
+/// only ever has the one bucket) or of the next-frequency bucket (LFU); an
+/// insertion appends to the frequency-1 bucket.  The victim is therefore the
+/// head of the lowest bucket: LRU = least recently touched; LFU = least
+/// frequently touched, older touch first on ties.  Every operation is O(1).
 class PrefixCache {
  public:
   /// `entry_bytes[i]` is the stored size of video i's prefix (> 0, finite).
@@ -67,23 +75,43 @@ class PrefixCache {
   void insert(std::size_t video);
 
   [[nodiscard]] bool resident(std::size_t video) const {
-    return resident_[video] != 0;
+    return bucket_of_[video] != kChain;
   }
+  /// The entry the next eviction would remove; M when nothing is resident.
+  [[nodiscard]] std::size_t victim() const;
   [[nodiscard]] double used_bytes() const { return stats_.used_bytes; }
   [[nodiscard]] const CacheTierStats& stats() const { return stats_; }
 
  private:
-  /// Deterministic victim: LRU = smallest last-touch tick; LFU = smallest
-  /// (frequency, last-touch tick).  Ticks are unique, so there are no ties.
-  [[nodiscard]] std::size_t pick_victim() const;
+  /// One touch count shared by the entries of its list, linked into the
+  /// ascending-frequency chain.  Bucket kChain is the chain's sentinel.
+  struct Bucket {
+    std::uint64_t freq = 0;
+    std::uint32_t prev = 0;
+    std::uint32_t next = 0;
+  };
+  static constexpr std::uint32_t kChain = 0;
+
+  /// List node of bucket b's sentinel; nodes 0..M-1 are the entries.
+  [[nodiscard]] std::uint32_t head_node(std::uint32_t bucket) const {
+    return num_entries_ + bucket;
+  }
+  /// The bucket counting `freq` touches directly after `before` in the
+  /// chain, created there if absent.
+  std::uint32_t bucket_after(std::uint32_t before, std::uint64_t freq);
+  void append(std::uint32_t entry, std::uint32_t bucket);
+  void detach(std::uint32_t entry);
+  void drop_if_empty(std::uint32_t bucket);
 
   CacheEvictionPolicy policy_;
   double capacity_bytes_ = 0.0;
   std::vector<double> entry_bytes_;
-  std::vector<std::uint8_t> resident_;
-  std::vector<std::uint64_t> freq_;        ///< touches since insertion
-  std::vector<std::uint64_t> last_touch_;  ///< access tick of last touch
-  std::uint64_t tick_ = 0;                 ///< monotone access counter
+  std::uint32_t num_entries_ = 0;
+  std::vector<std::uint32_t> next_;       ///< list links: entries, then one
+  std::vector<std::uint32_t> prev_;       ///< sentinel node per bucket
+  std::vector<std::uint32_t> bucket_of_;  ///< kChain when not resident
+  std::vector<Bucket> buckets_;
+  std::vector<std::uint32_t> free_buckets_;
   CacheTierStats stats_;
 };
 
